@@ -901,6 +901,22 @@ fn cpu_features(args: &[String]) -> Result<(), String> {
             p.strategy
         );
     }
+    // Run the CRC-32 kernel once on a known vector, so the dispatch
+    // counters below show the path this process actually took.
+    let crc = sciml_compress::crc32::crc32(&[0u8; 4096]);
+    if crc != 0xC71C_0011 {
+        return Err(format!("crc32 self-check failed: {crc:#010x}"));
+    }
+    println!("crc32 self-check: ok ({} path)", cpu::crc32_level().name());
+    println!("dispatch counters (this process):");
+    for (kernel, level, n) in cpu::dispatch_counts() {
+        if n > 0 {
+            println!(
+                "  {:<20} {n}",
+                format!("{}.{}", kernel.name(), level.name())
+            );
+        }
+    }
     Ok(())
 }
 

@@ -1,10 +1,11 @@
-//! Shared LSB-first bit I/O.
+//! Shared LSB-first bit writer.
 //!
 //! Both compression stacks in the workspace pack bits starting from the
 //! least-significant bit of each byte: DEFLATE (`sciml-compress`)
 //! mandates it, and the chunked numeric compressor (`sciml-pack`)
-//! adopts the same convention so the two can share one bit reader and
-//! writer instead of carrying near-duplicate implementations.
+//! adopts the same convention so the two share one writer. Reading is
+//! format-specific: the inflater has its own 64-bit refill buffer
+//! (`sciml_compress::inflate`) and pack decodes with a range coder.
 //!
 //! Huffman codes are written most-significant-code-bit first, which in
 //! this representation means the code must be bit-reversed before
@@ -12,28 +13,6 @@
 //! and [`BitWriter::write_code`] handles the reversal.
 
 #![deny(missing_docs)]
-
-use std::fmt;
-
-/// Failures of the bit reader: the only thing that can go wrong at this
-/// layer is running off the end of the stream. Callers map this into
-/// their own error vocabulary (`sciml_compress::Error::UnexpectedEof`,
-/// `sciml_pack::PackError::Truncated`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitIoError {
-    /// Stream ended before the requested bits were available.
-    UnexpectedEof,
-}
-
-impl fmt::Display for BitIoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BitIoError::UnexpectedEof => write!(f, "unexpected end of bit stream"),
-        }
-    }
-}
-
-impl std::error::Error for BitIoError {}
 
 /// Accumulating LSB-first bit writer backed by a byte vector.
 #[derive(Debug, Default)]
@@ -111,127 +90,25 @@ impl BitWriter {
     }
 }
 
-/// LSB-first bit reader over a byte slice.
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    data: &'a [u8],
-    /// Next byte index to refill from.
-    pos: usize,
-    bit_buf: u64,
-    bit_count: u32,
-}
-
-impl<'a> BitReader<'a> {
-    /// Creates a reader over `data`.
-    pub fn new(data: &'a [u8]) -> Self {
-        Self {
-            data,
-            pos: 0,
-            bit_buf: 0,
-            bit_count: 0,
-        }
-    }
-
-    #[inline]
-    fn refill(&mut self) {
-        while self.bit_count <= 56 && self.pos < self.data.len() {
-            self.bit_buf |= (self.data[self.pos] as u64) << self.bit_count;
-            self.pos += 1;
-            self.bit_count += 8;
-        }
-    }
-
-    /// Reads `count` (<= 32) bits LSB-first.
-    #[inline]
-    pub fn read_bits(&mut self, count: u32) -> Result<u32, BitIoError> {
-        debug_assert!(count <= 32);
-        if self.bit_count < count {
-            self.refill();
-            if self.bit_count < count {
-                return Err(BitIoError::UnexpectedEof);
-            }
-        }
-        let mask = if count == 32 {
-            u64::MAX >> 32
-        } else {
-            (1u64 << count) - 1
-        };
-        let v = (self.bit_buf & mask) as u32;
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Ok(v)
-    }
-
-    /// Reads a single bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> Result<u32, BitIoError> {
-        self.read_bits(1)
-    }
-
-    /// Peeks up to `count` bits without consuming; missing tail bits (past
-    /// end of stream) read as zero, matching the canonical-decoder usage
-    /// where the final code may be shorter than the peek window.
-    #[inline]
-    pub fn peek_bits(&mut self, count: u32) -> u32 {
-        debug_assert!(count <= 32);
-        self.refill();
-        let mask = if count == 32 {
-            u64::MAX >> 32
-        } else {
-            (1u64 << count) - 1
-        };
-        (self.bit_buf & mask) as u32
-    }
-
-    /// Consumes `count` bits previously peeked.
-    #[inline]
-    pub fn consume(&mut self, count: u32) -> Result<(), BitIoError> {
-        if self.bit_count < count {
-            return Err(BitIoError::UnexpectedEof);
-        }
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Ok(())
-    }
-
-    /// Number of bits still available.
-    pub fn bits_remaining(&self) -> usize {
-        (self.data.len() - self.pos) * 8 + self.bit_count as usize
-    }
-
-    /// Discards buffered bits up to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
-        let drop = self.bit_count % 8;
-        self.bit_buf >>= drop;
-        self.bit_count -= drop;
-    }
-
-    /// Reads `n` whole bytes (stream must be byte-aligned).
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, BitIoError> {
-        debug_assert_eq!(self.bit_count % 8, 0, "read_bytes requires alignment");
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.read_bits(8)? as u8);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn write_read_roundtrip() {
+    fn fields_pack_lsb_first() {
         let mut w = BitWriter::new();
         w.write_bits(0b101, 3);
         w.write_bits(0b11110000, 8);
         w.write_bits(0x12345, 20);
+        assert_eq!(w.bit_len(), 31);
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(3).unwrap(), 0b101);
-        assert_eq!(r.read_bits(8).unwrap(), 0b11110000);
-        assert_eq!(r.read_bits(20).unwrap(), 0x12345);
+        let mut v = 0u64;
+        for (k, &b) in bytes.iter().enumerate() {
+            v |= (b as u64) << (8 * k);
+        }
+        assert_eq!(v & 0b111, 0b101);
+        assert_eq!((v >> 3) & 0xFF, 0b11110000);
+        assert_eq!((v >> 11) & 0xF_FFFF, 0x12345);
     }
 
     #[test]
@@ -250,47 +127,8 @@ mod tests {
         w.write_bits(1, 1);
         w.align_to_byte();
         w.write_bytes(&[0xAB, 0xCD]);
+        assert_eq!(w.byte_len(), 3);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0x01, 0xAB, 0xCD]);
-
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bit().unwrap(), 1);
-        r.align_to_byte();
-        assert_eq!(r.read_bytes(2).unwrap(), vec![0xAB, 0xCD]);
-    }
-
-    #[test]
-    fn eof_is_detected() {
-        let mut r = BitReader::new(&[0xFF]);
-        assert_eq!(r.read_bits(8).unwrap(), 0xFF);
-        assert_eq!(r.read_bits(1), Err(BitIoError::UnexpectedEof));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut r = BitReader::new(&[0b1010_1010]);
-        assert_eq!(r.peek_bits(4), 0b1010);
-        assert_eq!(r.peek_bits(4), 0b1010);
-        r.consume(2).unwrap();
-        assert_eq!(r.read_bits(2).unwrap(), 0b10);
-    }
-
-    #[test]
-    fn peek_past_end_pads_with_zeros() {
-        let mut r = BitReader::new(&[0b1]);
-        assert_eq!(r.peek_bits(16), 1);
-    }
-
-    #[test]
-    fn bits_remaining_tracks() {
-        let mut r = BitReader::new(&[0, 0, 0]);
-        assert_eq!(r.bits_remaining(), 24);
-        r.read_bits(5).unwrap();
-        assert_eq!(r.bits_remaining(), 19);
-    }
-
-    #[test]
-    fn error_display() {
-        assert!(BitIoError::UnexpectedEof.to_string().contains("end"));
     }
 }

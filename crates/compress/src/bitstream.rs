@@ -1,16 +1,8 @@
-//! LSB-first bit I/O, as DEFLATE requires.
+//! LSB-first bit output, as DEFLATE requires.
 //!
-//! The implementation lives in the shared `sciml-bitio` crate so the
-//! chunked numeric compressor (`sciml-pack`) can reuse it; this module
-//! re-exports it under the historical path and maps its EOF error into
-//! [`crate::Error`] so decode paths keep using `?` unchanged.
+//! The writer lives in the shared `sciml-bitio` crate so the chunked
+//! numeric compressor (`sciml-pack`) can reuse it; this module
+//! re-exports it under the historical path. Decoding reads bits through
+//! the inflater's own buffer ([`mod@crate::inflate`]).
 
-pub use sciml_bitio::{BitIoError, BitReader, BitWriter};
-
-impl From<BitIoError> for crate::Error {
-    fn from(e: BitIoError) -> Self {
-        match e {
-            BitIoError::UnexpectedEof => crate::Error::UnexpectedEof,
-        }
-    }
-}
+pub use sciml_bitio::BitWriter;

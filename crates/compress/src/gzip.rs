@@ -1,7 +1,8 @@
 //! gzip (RFC 1952) member framing around raw DEFLATE.
 
 use crate::crc32::{crc32, Crc32};
-use crate::{deflate, inflate, Error, Level};
+use crate::inflate::{self, Growable, Sink, MAX_EXPANSION};
+use crate::{deflate, Error, Level};
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
 const CM_DEFLATE: u8 = 8;
@@ -40,33 +41,41 @@ pub fn decompress_multi(data: &[u8]) -> Result<Vec<u8>, Error> {
     let mut out = Vec::new();
     let mut rest = data;
     loop {
-        let (member_out, consumed) = decompress_member(rest)?;
-        out.extend_from_slice(&member_out);
-        rest = &rest[consumed..];
+        // No size hint: a trailer only describes its own member, and a
+        // member's end is known only after decoding it.
+        let start = out.len();
+        let mut sink = Growable::new(&mut out, 0);
+        let (end, consumed) = decompress_member(rest, &mut sink, start)?;
+        sink.finish(end);
+        rest = rest.get(consumed..).unwrap_or_default();
         if rest.is_empty() {
             return Ok(out);
         }
     }
 }
 
-/// Decompresses one member, returning its output and total bytes
-/// consumed (header + deflate stream + trailer).
-fn decompress_member(data: &[u8]) -> Result<(Vec<u8>, usize), Error> {
+/// Decompresses one member into `sink` from output offset `start`,
+/// checking its trailer. Returns the output end offset and the bytes the
+/// member occupied (header + deflate stream + trailer).
+fn decompress_member<S: Sink>(
+    data: &[u8],
+    sink: &mut S,
+    start: usize,
+) -> Result<(usize, usize), Error> {
     let body_start = parse_header(data)?;
-    let (out, body_consumed) = inflate::inflate_with_consumed(&data[body_start..])?;
+    let body = data.get(body_start..).ok_or(Error::UnexpectedEof)?;
+    let (end, body_consumed) = inflate::run(body, sink, start)?;
     let trailer_start = body_start + body_consumed;
-    if data.len() < trailer_start + 8 {
-        return Err(Error::UnexpectedEof);
-    }
-    let trailer = &data[trailer_start..trailer_start + 8];
-    // Length is checked above; plain indexing keeps this panic-free
-    // under the repo's no_panics lint.
+    let trailer = data
+        .get(trailer_start..trailer_start + 8)
+        .ok_or(Error::UnexpectedEof)?;
     let want_crc = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let want_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
-    if crc32(&out) != want_crc || (out.len() as u32) != want_len {
+    let out = sink.buf().get(start..end).unwrap_or_default();
+    if crc32(out) != want_crc || (out.len() as u32) != want_len {
         return Err(Error::ChecksumMismatch);
     }
-    Ok((out, trailer_start + 8))
+    Ok((end, trailer_start + 8))
 }
 
 /// Parses a member header, returning the offset of the deflate body.
@@ -124,12 +133,42 @@ fn parse_header(data: &[u8]) -> Result<usize, Error> {
 }
 
 /// Decompresses a single-member gzip file, verifying the trailer.
+///
+/// The trailer's ISIZE sizes the output up front, capped at the most
+/// the member's bytes can expand to, so a hostile trailer cannot force
+/// a large allocation.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
-    let (out, consumed) = decompress_member(data)?;
+    let isize_hint = match data.len().checked_sub(4).and_then(|t| data.get(t..)) {
+        Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]) as usize,
+        _ => 0,
+    };
+    let mut out = Vec::new();
+    let mut sink = Growable::new(
+        &mut out,
+        isize_hint.min(data.len().saturating_mul(MAX_EXPANSION)),
+    );
+    let (end, consumed) = decompress_member(data, &mut sink, 0)?;
+    sink.finish(end);
     if consumed != data.len() {
         return Err(Error::Corrupt("trailing bytes after gzip member"));
     }
     Ok(out)
+}
+
+/// Decompresses a single-member gzip file into exactly `out`, verifying
+/// the trailer: output longer or shorter than `out` is an error, as are
+/// bytes after the member. For callers that know the decompressed size
+/// from a trusted source (the packed store's CRC-checked index).
+pub fn decompress_into(data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+    let len = out.len();
+    let (end, consumed) = decompress_member(data, &mut inflate::Exact(out), 0)?;
+    if end != len {
+        return Err(Error::Corrupt("output shorter than the expected length"));
+    }
+    if consumed != data.len() {
+        return Err(Error::Corrupt("trailing bytes after gzip member"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -200,6 +239,64 @@ mod tests {
         let n = cat.len();
         cat[n - 2] ^= 0x10;
         assert!(decompress_multi(&cat).is_err());
+    }
+
+    #[test]
+    fn decompress_into_fills_exactly_or_fails_typed() {
+        let data = b"exact gzip member".repeat(40);
+        let gz = compress(&data, Level::Default);
+        let mut out = vec![0u8; data.len()];
+        decompress_into(&gz, &mut out).unwrap();
+        assert_eq!(out, data);
+        let mut short = vec![0u8; data.len() - 1];
+        assert_eq!(
+            decompress_into(&gz, &mut short),
+            Err(Error::Corrupt("output longer than the expected length"))
+        );
+        let mut long = vec![0u8; data.len() + 1];
+        assert!(matches!(
+            decompress_into(&gz, &mut long),
+            Err(Error::Corrupt(_))
+        ));
+        let mut trailing = gz.clone();
+        trailing.push(0);
+        assert_eq!(
+            decompress_into(&trailing, &mut out),
+            Err(Error::Corrupt("trailing bytes after gzip member"))
+        );
+    }
+
+    #[test]
+    fn hostile_isize_does_not_size_the_allocation() {
+        // ISIZE claims 4 GiB - 1; the trailer check must still fail, and
+        // the up-front allocation is capped by the member's own size.
+        let mut gz = compress(b"tiny", Level::Default);
+        let n = gz.len();
+        gz[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decompress(&gz), Err(Error::ChecksumMismatch));
+        assert!(gz.len() * MAX_EXPANSION < u32::MAX as usize / 1000);
+    }
+
+    #[test]
+    fn members_cannot_reference_earlier_members() {
+        // Member 2 is a fixed block whose first symbol is a match at
+        // distance 1: valid only if it could see member 1's output.
+        let mut w = crate::bitstream::BitWriter::new();
+        w.write_bits(1, 1);
+        w.write_bits(0b01, 2);
+        w.write_code(0b0000001, 7); // length 3
+        w.write_code(0b00000, 5); // distance 1
+        w.write_code(0b0000000, 7); // end of block
+        let mut second = compress(b"", Level::Default)[..10].to_vec();
+        second.extend_from_slice(&w.finish());
+        second.extend_from_slice(&crc32(b"aaa").to_le_bytes());
+        second.extend_from_slice(&3u32.to_le_bytes());
+        let mut cat = compress(b"a", Level::Default);
+        cat.extend_from_slice(&second);
+        assert_eq!(
+            decompress_multi(&cat),
+            Err(Error::Corrupt("distance beyond output start"))
+        );
     }
 
     #[test]

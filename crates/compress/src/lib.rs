@@ -8,13 +8,14 @@
 //! shrinks the data. To reproduce that baseline without pulling in a
 //! compression dependency, this crate implements the whole stack:
 //!
-//! * an LSB-first bit reader/writer ([`bitstream`]);
+//! * an LSB-first bit writer ([`bitstream`]);
 //! * CRC-32 (IEEE, reflected) for the gzip trailer ([`crc32`]);
-//! * canonical, length-limited Huffman coding via package-merge
-//!   ([`huffman`]);
+//! * canonical, length-limited Huffman coding via package-merge, and the
+//!   inflater's two-level decode tables ([`huffman`]);
 //! * greedy hash-chain LZ77 matching with lazy evaluation ([`lz77`]);
 //! * a DEFLATE block writer choosing stored / fixed / dynamic blocks
-//!   ([`deflate`]) and a full inflater ([`fn@inflate`]);
+//!   ([`deflate`]) and a full inflater ([`fn@inflate`]) with exact-size
+//!   and growable output modes;
 //! * gzip member framing ([`gzip`]) and zlib framing with Adler-32
 //!   ([`zlib`]) — the two compression types `TFRecordOptions` accepts.
 //!
@@ -131,6 +132,14 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
 /// Decompresses a single-member gzip file, verifying CRC-32 and length.
 pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, Error> {
     gzip::decompress(data)
+}
+
+/// Decompresses a single-member gzip file into exactly `out` — for
+/// callers that know the decompressed size from a trusted source. Output
+/// longer or shorter than `out` is an error; CRC-32 and length are
+/// verified.
+pub fn gzip_decompress_into(data: &[u8], out: &mut [u8]) -> Result<(), Error> {
+    gzip::decompress_into(data, out)
 }
 
 /// Decompresses a gzip file with one or more concatenated members.

@@ -2,7 +2,9 @@
 //! every compression level, and corrupted trailers must be rejected.
 
 use proptest::prelude::*;
-use sciml_compress::{deflate_compress, gzip_compress, gzip_decompress, inflate, Error, Level};
+use sciml_compress::{
+    deflate_compress, gzip_compress, gzip_decompress, gzip_decompress_into, inflate, Error, Level,
+};
 
 fn levels() -> impl Strategy<Value = Level> {
     prop_oneof![
@@ -109,4 +111,114 @@ fn checksum_error_type_is_distinguishable() {
     let n = gz.len();
     gz[n - 5] ^= 0x40; // inside CRC field
     assert_eq!(gzip_decompress(&gz), Err(Error::ChecksumMismatch));
+}
+
+/// Inputs that exercise every block kind: short text (fixed blocks),
+/// incompressible noise (stored blocks), repetitive structure (dynamic
+/// blocks), and enough tokens to split into several blocks.
+fn block_mix() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop::collection::vec(any::<u8>(), 0..48),
+        prop::collection::vec(any::<u8>(), 0..40_000),
+        prop::collection::vec(any::<u8>(), 1..16),
+        0usize..20_000,
+    )
+        .prop_map(|(text, noise, motif, reps)| {
+            let mut data = text;
+            data.extend_from_slice(&noise);
+            data.extend(motif.iter().cycle().take(reps));
+            data
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Growable and exact-size inflation agree with the input at every
+    /// level, across fixed, stored, dynamic and multi-block streams.
+    #[test]
+    fn inflate_roundtrips_every_block_kind(data in block_mix(), level in levels()) {
+        let raw = deflate_compress(&data, level);
+        prop_assert_eq!(&inflate(&raw).unwrap(), &data);
+        let gz = gzip_compress(&data, level);
+        let mut out = vec![0u8; data.len()];
+        gzip_decompress_into(&gz, &mut out).unwrap();
+        prop_assert_eq!(&out, &data);
+        prop_assert_eq!(&gzip_decompress(&gz).unwrap(), &data);
+    }
+
+    /// Exact mode fails typed when the caller's size is off by one.
+    #[test]
+    fn exact_size_off_by_one_is_typed(data in prop::collection::vec(any::<u8>(), 1..2048)) {
+        let gz = gzip_compress(&data, Level::Default);
+        let mut short = vec![0u8; data.len() - 1];
+        prop_assert!(matches!(gzip_decompress_into(&gz, &mut short), Err(Error::Corrupt(_))));
+        let mut long = vec![0u8; data.len() + 1];
+        prop_assert!(matches!(gzip_decompress_into(&gz, &mut long), Err(Error::Corrupt(_))));
+    }
+}
+
+/// A small member mixing repeated text (matches) and noise (literals).
+fn mixed_member() -> (Vec<u8>, Vec<u8>) {
+    let mut data = b"abcabcabcabc the quick brown fox ".repeat(3);
+    data.extend((0..150u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8));
+    (gzip_compress(&data, Level::Default), data)
+}
+
+#[test]
+fn truncation_at_every_byte_is_a_typed_error() {
+    for data in [mixed_member().1, vec![7u8; 3000], Vec::new()] {
+        let gz = gzip_compress(&data, Level::Default);
+        let raw = deflate_compress(&data, Level::Default);
+        for cut in 0..gz.len() {
+            assert!(gzip_decompress(&gz[..cut]).is_err(), "gzip cut {cut}");
+            let mut out = vec![0u8; data.len()];
+            assert!(
+                gzip_decompress_into(&gz[..cut], &mut out).is_err(),
+                "exact cut {cut}"
+            );
+        }
+        for cut in 0..raw.len() {
+            assert_eq!(
+                inflate(&raw[..cut]),
+                Err(Error::UnexpectedEof),
+                "deflate cut {cut}"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_bit_flips_never_pass_as_other_data() {
+    // Header bytes 4..10 (MTIME, XFL, OS) are not covered by any check;
+    // every other flip must fail typed or, for bits DEFLATE ignores
+    // (stored-block and final padding), decode to the original bytes.
+    let (gz, data) = mixed_member();
+    for byte in (0..4).chain(10..gz.len()) {
+        for bit in 0..8 {
+            let mut bad = gz.clone();
+            bad[byte] ^= 1 << bit;
+            if let Ok(out) = gzip_decompress(&bad) {
+                assert_eq!(out, data, "flip {byte}.{bit} decoded to other bytes");
+            }
+            let mut out = vec![0u8; data.len()];
+            if gzip_decompress_into(&bad, &mut out).is_ok() {
+                assert_eq!(out, data, "exact flip {byte}.{bit}");
+            }
+            let _ = inflate(&bad[10..]);
+        }
+    }
+}
+
+#[test]
+fn hostile_isize_is_rejected_without_a_huge_allocation() {
+    let mut gz = gzip_compress(b"four", Level::Default);
+    let n = gz.len();
+    gz[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(gzip_decompress(&gz), Err(Error::ChecksumMismatch));
+    let mut out = [0u8; 4];
+    assert_eq!(
+        gzip_decompress_into(&gz, &mut out),
+        Err(Error::ChecksumMismatch)
+    );
 }

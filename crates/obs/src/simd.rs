@@ -49,8 +49,11 @@ mod tests {
     fn publish_is_consistent_and_overwrites() {
         let reg = MetricsRegistry::new();
         record(Kernel::HalfWiden, sciml_simd::arch_level());
+        record(Kernel::Crc32, sciml_simd::crc32_level());
         publish(&reg);
         let snap = reg.snapshot();
+        let crc = format!("codec.simd.crc32.{}", sciml_simd::crc32_level().name());
+        assert!(snap.gauge(&crc) > 0, "{crc}");
         let total = snap.gauge("codec.simd.dispatch_total");
         assert!(total > 0);
         let level_sum: i64 = sciml_simd::ALL_LEVELS

@@ -95,14 +95,6 @@ impl fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
-impl From<sciml_bitio::BitIoError> for PackError {
-    fn from(e: sciml_bitio::BitIoError) -> Self {
-        match e {
-            sciml_bitio::BitIoError::UnexpectedEof => PackError::Truncated,
-        }
-    }
-}
-
 fn max_value_for_width(width: u8) -> u32 {
     if width == 1 {
         u8::MAX as u32

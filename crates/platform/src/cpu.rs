@@ -9,9 +9,9 @@
 //! probe API and adds the per-workload kernel-plan report.
 
 pub use sciml_simd::{
-    active_level, arch_level, detected_level, dispatch_counts, env_level, env_request, force,
-    is_supported, level_total, supported_levels, ForceGuard, Kernel, SimdLevel, ALL_KERNELS,
-    ALL_LEVELS, SIMD_ENV,
+    active_level, arch_level, crc32_level, detected_level, dispatch_counts, env_level, env_request,
+    force, has_clmul, is_supported, level_total, supported_levels, ForceGuard, Kernel, SimdLevel,
+    ALL_KERNELS, ALL_LEVELS, SIMD_ENV,
 };
 
 /// One decode kernel's resolved dispatch path on this host.
@@ -27,29 +27,40 @@ pub struct KernelPath {
     pub strategy: &'static str,
 }
 
-/// The dispatch plan for every decode kernel at the currently active
-/// tier (env override and force guards included, clamped to this
-/// architecture — the reported level is the level that will run).
+/// The dispatch plan for every kernel at the currently active tier
+/// (env override and force guards included, clamped to this
+/// architecture — the reported level is the level that will run). The
+/// CRC-32 kernel additionally needs `pclmulqdq` ([`crc32_level`]).
 pub fn kernel_plan() -> Vec<KernelPath> {
-    let lvl = arch_level();
     ALL_KERNELS
         .iter()
-        .map(|&kernel| KernelPath {
-            kernel,
-            stage: match kernel {
-                Kernel::CosmoGather => "CosmoFlow LUT decode",
-                Kernel::DeepcamLine => "DeepCAM delta decode",
-                Kernel::HalfNarrow => "F32\u{2192}F16 emission",
-                Kernel::HalfWiden => "F16\u{2192}F32 load",
-            },
-            level: lvl,
-            strategy: strategy(kernel, lvl),
+        .map(|&kernel| {
+            let level = match kernel {
+                Kernel::Crc32 => crc32_level(),
+                _ => arch_level(),
+            };
+            KernelPath {
+                kernel,
+                stage: match kernel {
+                    Kernel::CosmoGather => "CosmoFlow LUT decode",
+                    Kernel::DeepcamLine => "DeepCAM delta decode",
+                    Kernel::HalfNarrow => "F32\u{2192}F16 emission",
+                    Kernel::HalfWiden => "F16\u{2192}F32 load",
+                    Kernel::Crc32 => "CRC-32 integrity check",
+                },
+                level,
+                strategy: strategy(kernel, level),
+            }
         })
         .collect()
 }
 
 fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
     match (kernel, level) {
+        (Kernel::Crc32, SimdLevel::Scalar | SimdLevel::Neon) => "slicing-by-8 tables",
+        (Kernel::Crc32, SimdLevel::Sse42 | SimdLevel::Avx2) => {
+            "PCLMULQDQ 4x128-bit fold + Barrett reduction"
+        }
         (_, SimdLevel::Scalar) => "scalar reference loop",
         (Kernel::CosmoGather, SimdLevel::Avx2) => "8-voxel row gather + in-register transpose",
         (Kernel::CosmoGather, SimdLevel::Sse42) => "4-voxel row gather + in-register transpose",
@@ -78,7 +89,11 @@ mod tests {
         let plan = kernel_plan();
         assert_eq!(plan.len(), ALL_KERNELS.len());
         for p in &plan {
-            assert_eq!(p.level, arch_level());
+            let want = match p.kernel {
+                Kernel::Crc32 => crc32_level(),
+                _ => arch_level(),
+            };
+            assert_eq!(p.level, want);
             assert!(!p.strategy.is_empty() && !p.stage.is_empty());
         }
     }
@@ -88,7 +103,11 @@ mod tests {
         let _g = force(Some(SimdLevel::Scalar));
         for p in kernel_plan() {
             assert_eq!(p.level, SimdLevel::Scalar);
-            assert_eq!(p.strategy, "scalar reference loop");
+            let want = match p.kernel {
+                Kernel::Crc32 => "slicing-by-8 tables",
+                _ => "scalar reference loop",
+            };
+            assert_eq!(p.strategy, want);
         }
     }
 }

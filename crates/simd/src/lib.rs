@@ -21,6 +21,9 @@
 //! * [`record`] / [`dispatch_counts`] — relaxed per-(kernel, level)
 //!   counters so `sciml fetch --stats` and the Prometheus scrape can
 //!   show which path actually ran (`codec.simd.*`).
+//! * [`crc32_level`] — the tier the CRC-32 kernel in `sciml-compress`
+//!   dispatches to: the carry-less-multiply fold needs the SSE4.2 tier
+//!   *and* the separate `pclmulqdq` feature bit.
 //!
 //! The public façade for tools lives in `sciml_platform::cpu`; kernels
 //! in `sciml-half` and `sciml-codec` link this crate directly because
@@ -241,6 +244,35 @@ pub fn arch_level() -> SimdLevel {
     }
 }
 
+/// Whether the host has the carry-less multiply instruction
+/// (`pclmulqdq`) the folding CRC-32 kernel needs (cached). Always false
+/// off x86-64: the aarch64 PMULL variant is not implemented.
+pub fn has_clmul() -> bool {
+    static CLMUL: OnceLock<bool> = OnceLock::new();
+    *CLMUL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// The tier the CRC-32 kernel runs at *right now*: the active x86-64
+/// vector tier when the host also has `pclmulqdq`, else `Scalar`
+/// (slicing-by-8). `SCIML_SIMD=scalar` therefore forces the table path.
+#[inline]
+pub fn crc32_level() -> SimdLevel {
+    match arch_level() {
+        l @ (SimdLevel::Sse42 | SimdLevel::Avx2) if has_clmul() => l,
+        _ => SimdLevel::Scalar,
+    }
+}
+
 /// A dispatched kernel family, for attribution counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
@@ -252,14 +284,17 @@ pub enum Kernel {
     HalfNarrow,
     /// Bulk F16→F32 widening (per slice call).
     HalfWiden,
+    /// CRC-32 over at least 64 bytes (per `Crc32::update` call).
+    Crc32,
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 4] = [
+pub const ALL_KERNELS: [Kernel; 5] = [
     Kernel::CosmoGather,
     Kernel::DeepcamLine,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
+    Kernel::Crc32,
 ];
 
 impl Kernel {
@@ -270,6 +305,7 @@ impl Kernel {
             Kernel::DeepcamLine => "deepcam_line",
             Kernel::HalfNarrow => "half_narrow",
             Kernel::HalfWiden => "half_widen",
+            Kernel::Crc32 => "crc32",
         }
     }
 
@@ -279,13 +315,16 @@ impl Kernel {
             Kernel::DeepcamLine => 1,
             Kernel::HalfNarrow => 2,
             Kernel::HalfWiden => 3,
+            Kernel::Crc32 => 4,
         }
     }
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DISPATCH: [[AtomicU64; 4]; 4] = [[ZERO; 4], [ZERO; 4], [ZERO; 4], [ZERO; 4]];
+#[allow(clippy::declare_interior_mutable_const)]
+const ZERO_ROW: [AtomicU64; 4] = [ZERO; 4];
+static DISPATCH: [[AtomicU64; 4]; 5] = [ZERO_ROW; 5];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.
@@ -296,7 +335,7 @@ pub fn record(kernel: Kernel, level: SimdLevel) {
 
 /// Snapshot of every (kernel, level) dispatch count since process start.
 pub fn dispatch_counts() -> Vec<(Kernel, SimdLevel, u64)> {
-    let mut out = Vec::with_capacity(16);
+    let mut out = Vec::with_capacity(ALL_KERNELS.len() * ALL_LEVELS.len());
     for &k in &ALL_KERNELS {
         for &l in &ALL_LEVELS {
             out.push((k, l, DISPATCH[k.index()][l.index()].load(Ordering::Relaxed)));
@@ -364,6 +403,20 @@ mod tests {
         record(Kernel::CosmoGather, SimdLevel::Scalar);
         assert!(level_total(SimdLevel::Scalar) >= before + 2);
         let counts = dispatch_counts();
-        assert_eq!(counts.len(), 16);
+        assert_eq!(counts.len(), ALL_KERNELS.len() * ALL_LEVELS.len());
+    }
+
+    #[test]
+    fn crc32_level_follows_the_forced_tier() {
+        {
+            let _g = force(Some(SimdLevel::Scalar));
+            assert_eq!(crc32_level(), SimdLevel::Scalar);
+        }
+        let lvl = crc32_level();
+        assert!(lvl == SimdLevel::Scalar || has_clmul());
+        assert!(matches!(
+            lvl,
+            SimdLevel::Scalar | SimdLevel::Sse42 | SimdLevel::Avx2
+        ));
     }
 }

@@ -622,24 +622,74 @@ impl ShardReader {
         self.index_offset + (self.index.len() * self.entry_len + TRAILER_LEN) as u64
     }
 
-    /// Fetches local sample `idx`, verifying its CRC (and
-    /// decompressing when the shard is gzip-packed).
+    /// Fetches local sample `idx`, verifying its CRC and decompressing
+    /// it (see [`ShardReader::fetch_into`]).
     pub fn fetch(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.fetch_into(idx, &mut out)?;
+        out.shrink_to_fit();
+        Ok(out)
+    }
+
+    /// Fetches local sample `idx` into `out`, replacing its contents.
+    ///
+    /// The stored bytes are read with one positioned read and checked
+    /// against the entry's CRC before anything decodes them. Raw entries
+    /// are read straight into `out`. Gzip entries are read into the
+    /// tail of `out` and inflated in front of themselves to exactly the
+    /// index's raw length (itself covered by the footer CRC), so any
+    /// other length is an error; `out` keeps the extra capacity for the
+    /// next fetch. Pack entries decode into a fresh vector, then copy.
+    pub fn fetch_into(&self, idx: usize, out: &mut Vec<u8>) -> Result<()> {
         let entry = self.index.get(idx).ok_or(StoreError::OutOfRange {
             idx,
             len: self.index.len(),
         })?;
-        let mut stored = vec![0u8; entry.stored_len as usize];
-        self.file
-            .read_exact_at(&mut stored, entry.offset)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    StoreError::Truncated("shard body")
-                } else {
-                    StoreError::Io(e)
+        let stored_len = entry.stored_len as usize;
+        let raw_len = match entry.encoding {
+            PayloadEncoding::Gzip => entry.raw_len as usize,
+            PayloadEncoding::Raw | PayloadEncoding::Pack => 0,
+        };
+        // The buffer is sized from the index before inflating: bound the
+        // raw length by what the stored bytes could possibly expand to.
+        if raw_len > stored_len.saturating_mul(sciml_compress::inflate::MAX_EXPANSION) {
+            return Err(StoreError::Malformed(
+                "raw length beyond gzip expansion bound",
+            ));
+        }
+        out.clear();
+        out.resize(raw_len + stored_len, 0);
+        let (raw, stored) = out.split_at_mut(raw_len);
+        self.read_verified(idx, entry, stored)?;
+        match entry.encoding {
+            PayloadEncoding::Raw => {}
+            PayloadEncoding::Gzip => {
+                sciml_compress::gzip_decompress_into(stored, raw)?;
+                out.truncate(raw_len);
+            }
+            PayloadEncoding::Pack => {
+                let unpacked = sciml_pack::unpack(stored)?;
+                if unpacked.len() != entry.raw_len as usize {
+                    return Err(StoreError::Malformed("decompressed length mismatch"));
                 }
-            })?;
-        let computed = crc32(&stored);
+                out.clear();
+                out.extend_from_slice(&unpacked);
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads sample `idx`'s stored bytes into `stored` (sized to the
+    /// entry) and checks them against the entry's CRC.
+    fn read_verified(&self, idx: usize, entry: &IndexEntry, stored: &mut [u8]) -> Result<()> {
+        self.file.read_exact_at(stored, entry.offset).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StoreError::Truncated("shard body")
+            } else {
+                StoreError::Io(e)
+            }
+        })?;
+        let computed = crc32(stored);
         if computed != entry.crc32 {
             return Err(StoreError::SampleCorrupt {
                 sample: idx,
@@ -647,40 +697,15 @@ impl ShardReader {
                 stored: entry.crc32,
             });
         }
-        match entry.encoding {
-            PayloadEncoding::Raw => Ok(stored),
-            PayloadEncoding::Gzip => {
-                let raw = sciml_compress::gzip_decompress(&stored)?;
-                if raw.len() != entry.raw_len as usize {
-                    return Err(StoreError::Malformed("decompressed length mismatch"));
-                }
-                Ok(raw)
-            }
-            PayloadEncoding::Pack => {
-                let raw = sciml_pack::unpack(&stored)?;
-                if raw.len() != entry.raw_len as usize {
-                    return Err(StoreError::Malformed("decompressed length mismatch"));
-                }
-                Ok(raw)
-            }
-        }
+        Ok(())
     }
 
     /// Verifies every sample payload's CRC without decompressing.
     pub fn verify(&self) -> Result<()> {
+        let mut stored = Vec::new();
         for (idx, entry) in self.index.iter().enumerate() {
-            let mut stored = vec![0u8; entry.stored_len as usize];
-            self.file
-                .read_exact_at(&mut stored, entry.offset)
-                .map_err(|_| StoreError::Truncated("shard body"))?;
-            let computed = crc32(&stored);
-            if computed != entry.crc32 {
-                return Err(StoreError::SampleCorrupt {
-                    sample: idx,
-                    computed,
-                    stored: entry.crc32,
-                });
-            }
+            stored.resize(entry.stored_len as usize, 0);
+            self.read_verified(idx, entry, &mut stored)?;
         }
         Ok(())
     }
@@ -755,6 +780,75 @@ mod tests {
         assert!(matches!(
             r.fetch(4),
             Err(StoreError::OutOfRange { idx: 4, len: 4 })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fetch_into_reuses_one_buffer_across_encodings() {
+        let dir = tmp_dir("into");
+        let mut buf = vec![0xEEu8; 10_000]; // stale contents must vanish
+        for choice in [
+            EncodingChoice::Raw,
+            EncodingChoice::Gzip,
+            EncodingChoice::Pack,
+            EncodingChoice::Auto,
+        ] {
+            let meta = write_shard(&dir, 0, &samples(), 0, choice, Level::Fast).unwrap();
+            let r = ShardReader::open(dir.join(&meta.file)).unwrap();
+            for (i, want) in samples().iter().enumerate() {
+                r.fetch_into(i, &mut buf).unwrap();
+                assert_eq!(&buf, want, "{choice} sample {i}");
+                assert_eq!(&r.fetch(i).unwrap(), want);
+            }
+            assert!(matches!(
+                r.fetch_into(4, &mut buf),
+                Err(StoreError::OutOfRange { idx: 4, len: 4 })
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rewrites entry `idx`'s raw length in a v2 shard file and re-seals
+    /// the footer CRC, as a writer bug (not bit rot) would.
+    fn forge_raw_len(path: &Path, idx: usize, raw_len: u32) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let t = bytes.len() - TRAILER_LEN;
+        let index_offset = le_u64(&bytes[t..t + 8]) as usize;
+        let at = index_offset + idx * ENTRY_LEN + 12;
+        bytes[at..at + 4].copy_from_slice(&raw_len.to_le_bytes());
+        let crc = crc32(&bytes[index_offset..t]);
+        bytes[t + 16..t + 20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn gzip_entry_inflating_to_another_length_is_typed() {
+        let dir = tmp_dir("rawlen");
+        let meta = write_shard(&dir, 0, &samples(), 0, EncodingChoice::Gzip, Level::Fast).unwrap();
+        let path = dir.join(&meta.file);
+        for wrong in [2999u32, 3001] {
+            forge_raw_len(&path, 3, wrong);
+            let r = ShardReader::open(&path).unwrap();
+            let mut buf = Vec::new();
+            assert!(
+                matches!(
+                    r.fetch_into(3, &mut buf),
+                    Err(StoreError::Compression(sciml_compress::Error::Corrupt(_)))
+                ),
+                "raw_len {wrong}"
+            );
+            // The other entries are untouched.
+            r.fetch_into(2, &mut buf).unwrap();
+            assert_eq!(buf, samples()[2]);
+        }
+        // A raw length no gzip member of that size can reach is refused
+        // before the buffer is sized from it.
+        forge_raw_len(&path, 3, u32::MAX);
+        let r = ShardReader::open(&path).unwrap();
+        assert!(matches!(
+            r.fetch_into(3, &mut Vec::new()),
+            Err(StoreError::Malformed(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

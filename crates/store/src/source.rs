@@ -92,6 +92,15 @@ impl ShardSource {
 
     /// Fetches global sample `idx` with full typed-error reporting.
     pub fn fetch_verified(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.fetch_verified_into(idx, &mut bytes)?;
+        bytes.shrink_to_fit();
+        Ok(bytes)
+    }
+
+    /// Fetches global sample `idx` into `buf` (replacing its contents)
+    /// with full typed-error reporting; see [`ShardReader::fetch_into`].
+    pub fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let started = Instant::now();
         let (meta, local) = self
             .manifest
@@ -101,8 +110,8 @@ impl ShardSource {
                 len: self.manifest.total_samples() as usize,
             })?;
         let reader = &self.readers[meta.id as usize];
-        let bytes = reader.fetch(local as usize)?;
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        reader.fetch_into(local as usize, buf)?;
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         if let Some(h) = &self.fetch_us {
             h.record(started.elapsed().as_micros() as u64);
         }
@@ -117,7 +126,7 @@ impl ShardSource {
             };
             slot.inc();
         }
-        Ok(bytes)
+        Ok(())
     }
 
     /// Verifies the whole store: each shard file's CRC against the
@@ -147,6 +156,10 @@ impl SampleSource for ShardSource {
 
     fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
         Ok(self.fetch_verified(idx)?)
+    }
+
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+        Ok(self.fetch_verified_into(idx, buf)?)
     }
 
     fn bytes_read(&self) -> u64 {
@@ -185,28 +198,40 @@ impl StagingSource {
 
     /// Fetches global sample `idx` with full typed-error reporting.
     pub fn fetch_verified(&self, idx: usize) -> Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.fetch_verified_into(idx, &mut bytes)?;
+        bytes.shrink_to_fit();
+        Ok(bytes)
+    }
+
+    /// Fetches global sample `idx` into `buf` (replacing its contents)
+    /// with full typed-error reporting: staged shards through
+    /// [`ShardReader::fetch_into`], the rest through the backing
+    /// source's `fetch_into`.
+    pub fn fetch_verified_into(&self, idx: usize, buf: &mut Vec<u8>) -> Result<()> {
         let total = self.shared.total_samples() as usize;
         let shard = self
             .shared
             .shard_for(idx as u64)
             .ok_or(StoreError::OutOfRange { idx, len: total })?;
-        let bytes = if self.shared.is_staged(shard) {
+        if self.shared.is_staged(shard) {
             let started = Instant::now();
             let reader = self.shared.reader(shard)?;
             let local = idx as u64 - self.shared.plans[shard].first;
-            let bytes = reader.fetch(local as usize)?;
+            reader.fetch_into(local as usize, buf)?;
             self.shared
                 .metrics
                 .fetch_us
                 .record(started.elapsed().as_micros() as u64);
             self.shared.metrics.local_hits.inc();
-            bytes
         } else {
             self.shared.metrics.fallthrough.inc();
-            self.backing.fetch(idx).map_err(StoreError::Backing)?
-        };
-        self.read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(bytes)
+            self.backing
+                .fetch_into(idx, buf)
+                .map_err(StoreError::Backing)?;
+        }
+        self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -217,6 +242,10 @@ impl SampleSource for StagingSource {
 
     fn fetch(&self, idx: usize) -> sciml_pipeline::Result<Vec<u8>> {
         Ok(self.fetch_verified(idx)?)
+    }
+
+    fn fetch_into(&self, idx: usize, buf: &mut Vec<u8>) -> sciml_pipeline::Result<()> {
+        Ok(self.fetch_verified_into(idx, buf)?)
     }
 
     fn bytes_read(&self) -> u64 {

@@ -193,14 +193,18 @@ stage "compression shootout bench (raw vs gzip vs pack)"
 # ratio and decode throughput for each payload encoding.
 cargo bench -q -p sciml-bench --bench bench_compress
 
-stage "simd-matrix (codec + half suites at every supported tier)"
+stage "simd-matrix (codec, half, CRC-32 and its users at every supported tier)"
 # The dispatcher honors SCIML_SIMD, so the same test binaries prove
 # bit-exactness of the scalar, SSE4.2, and (where present) AVX2/NEON
 # kernels. `cpu-features --list` names only the tiers this host can
-# execute, so the matrix is exact on any machine.
+# execute, so the matrix is exact on any machine. The compress, store
+# and serve suites run both CRC-32 paths: slicing-by-8 under `scalar`,
+# the carry-less-multiply fold at the vector tiers (given pclmulqdq).
 for tier in $(sciml cpu-features --list); do
     echo "    -- SCIML_SIMD=$tier"
-    SCIML_SIMD="$tier" cargo test -q -p sciml-codec -p sciml-half -p sciml-pipeline
+    SCIML_SIMD="$tier" cargo test -q -p sciml-codec -p sciml-half -p sciml-pipeline \
+        -p sciml-compress -p sciml-store -p sciml-serve
+    SCIML_SIMD="$tier" sciml cpu-features | grep "crc32 self-check"
 done
 sciml cpu-features
 
