@@ -169,36 +169,28 @@ impl EncodedCosmo {
 
     /// Parses the wire format, validating chunk coverage and key ranges.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-            if *pos + n > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
+        let mut r = crate::wire::Reader::new(data);
+        if r.take(4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
-        if crate::wire::le_u32(take(&mut pos, 4)?) != VERSION {
+        if r.u32()? != VERSION {
             return Err(CodecError::Corrupt("unsupported version"));
         }
-        let grid = crate::wire::le_u32(take(&mut pos, 4)?);
+        let grid = r.u32()?;
         if grid as u64 > 4096 {
             return Err(CodecError::Corrupt("implausible grid"));
         }
         let mut label = [0f32; 4];
         for l in &mut label {
-            *l = crate::wire::le_f32(take(&mut pos, 4)?);
+            *l = crate::wire::le_f32(r.take(4)?);
         }
-        let n_chunks = crate::wire::le_u32(take(&mut pos, 4)?) as usize;
+        let n_chunks = r.u32()? as usize;
         let mut chunks = Vec::with_capacity(n_chunks.min(1 << 20));
         let mut covered = 0u64;
         for _ in 0..n_chunks {
-            let n_voxels = crate::wire::le_u32(take(&mut pos, 4)?);
-            let key_width = KeyWidth::from_code(take(&mut pos, 1)?[0])?;
-            let n_groups = crate::wire::le_u32(take(&mut pos, 4)?) as usize;
+            let n_voxels = r.u32()?;
+            let key_width = KeyWidth::from_code(r.take(1)?[0])?;
+            let n_groups = r.u32()? as usize;
             let max_groups = match key_width {
                 KeyWidth::U8 => 256,
                 KeyWidth::U16 => 65536,
@@ -206,7 +198,7 @@ impl EncodedCosmo {
             if n_groups == 0 || n_groups > max_groups {
                 return Err(CodecError::Corrupt("group count vs key width"));
             }
-            let table_bytes = take(&mut pos, n_groups * 2 * N_REDSHIFTS)?;
+            let table_bytes = r.take(n_groups * 2 * N_REDSHIFTS)?;
             let table: Vec<[u16; N_REDSHIFTS]> = table_bytes
                 .chunks_exact(2 * N_REDSHIFTS)
                 .map(|g| {
@@ -217,7 +209,7 @@ impl EncodedCosmo {
                     arr
                 })
                 .collect();
-            let keys = take(&mut pos, n_voxels as usize * key_width.bytes())?.to_vec();
+            let keys = r.take(n_voxels as usize * key_width.bytes())?.to_vec();
             let chunk = CosmoChunk {
                 n_voxels,
                 key_width,
@@ -232,7 +224,7 @@ impl EncodedCosmo {
             covered += n_voxels as u64;
             chunks.push(chunk);
         }
-        if pos != data.len() {
+        if !r.is_empty() {
             return Err(CodecError::Inconsistent("trailing bytes"));
         }
         let enc = EncodedCosmo {
@@ -277,6 +269,16 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn wire_rejects_a_huge_key_count_as_truncation() {
+        let s = UniverseGenerator::new(CosmoFlowConfig::test_small()).generate(1);
+        let mut bytes = encode(&s).to_bytes();
+        // The first chunk's voxel count sits after magic, version, grid,
+        // the 4-value label and the chunk count.
+        bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(EncodedCosmo::from_bytes(&bytes), Err(CodecError::Truncated));
     }
 
     #[test]

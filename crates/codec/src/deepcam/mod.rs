@@ -30,6 +30,7 @@ pub use decode::{decode, decode_into, decode_line_into, decode_parallel, decode_
 pub use encode::{encode, encode_parallel, EncodeStats, EncoderConfig};
 
 use crate::CodecError;
+use std::borrow::Cow;
 
 /// Delta code escaping to a literal f32.
 pub const CODE_ESCAPE: u8 = 0xFF;
@@ -120,12 +121,12 @@ const VERSION_PACKED: u32 = 2;
 impl EncodedDeepCam {
     /// Total number of lines.
     pub fn n_lines(&self) -> usize {
-        (self.channels * self.height) as usize
+        self.view().n_lines()
     }
 
     /// Total values the decoded sample holds.
     pub fn n_values(&self) -> usize {
-        (self.channels * self.height * self.width) as usize
+        self.view().n_values()
     }
 
     /// Size of the encoded representation (directory + payload), i.e.
@@ -187,75 +188,193 @@ impl EncodedDeepCam {
         out
     }
 
-    /// Parses the wire format, validating the directory.
+    /// Parses the wire format, validating the directory. Decoders need
+    /// no owned copy: [`DeepCamView::parse`] reads the same bytes in
+    /// place, and this is that view copied out.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-            if *pos + n > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
+        let view = DeepCamView::parse(data)?;
+        let lines = (0..view.n_lines())
+            .map(|idx| view.meta(idx))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            width: view.width,
+            height: view.height,
+            channels: view.channels,
+            lines,
+            mask: view.mask.to_vec(),
+            payload: view.payload.into_owned(),
+        })
+    }
+
+    /// A borrowed view of this sample, the form every decoder reads.
+    pub fn view(&self) -> DeepCamView<'_> {
+        DeepCamView {
+            width: self.width,
+            height: self.height,
+            channels: self.channels,
+            directory: Directory::Lines(&self.lines),
+            payload: Cow::Borrowed(&self.payload),
+            mask: &self.mask,
+        }
+    }
+}
+
+/// Bytes per wire directory entry: mode (1), offset (4), length (4).
+const DIR_ENTRY: usize = 9;
+
+/// Where a view's line directory lives.
+#[derive(Debug, Clone, Copy)]
+enum Directory<'a> {
+    /// Parsed entries of an owned [`EncodedDeepCam`].
+    Lines(&'a [LineMeta]),
+    /// Raw wire entries, validated by [`DeepCamView::parse`].
+    Wire(&'a [u8]),
+}
+
+/// A DeepCAM sample as the decoders read it: dimensions, directory,
+/// payload and mask, borrowed from wire bytes ([`DeepCamView::parse`])
+/// or from an owned sample ([`EncodedDeepCam::view`]). Every decode
+/// entry point takes anything that converts into a view, so one kernel
+/// serves both.
+#[derive(Debug, Clone)]
+pub struct DeepCamView<'a> {
+    /// Image width (values per line).
+    pub width: u32,
+    /// Image height (lines per channel).
+    pub height: u32,
+    /// Channel count.
+    pub channels: u32,
+    directory: Directory<'a>,
+    /// Borrowed for wire version 1 and owned samples; a version-2
+    /// payload section is unpacked into an owned buffer.
+    payload: Cow<'a, [u8]>,
+    /// Losslessly carried label mask (may be empty).
+    pub mask: &'a [u8],
+}
+
+impl<'a> DeepCamView<'a> {
+    /// Parses the wire format in place: the directory, payload and mask
+    /// stay in `data` (a version-2 payload is unpacked). Validates what
+    /// [`EncodedDeepCam::from_bytes`] always has — magic, version, line
+    /// modes, every line's payload range — and that the value count fits
+    /// in memory; hostile section lengths are typed errors.
+    pub fn parse(data: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = crate::wire::Reader::new(data);
+        if r.take(4)? != MAGIC {
             return Err(CodecError::Corrupt("bad magic"));
         }
-        let version = crate::wire::le_u32(take(&mut pos, 4)?);
+        let version = r.u32()?;
         if version != VERSION && version != VERSION_PACKED {
             return Err(CodecError::Corrupt("unsupported version"));
         }
-        let width = crate::wire::le_u32(take(&mut pos, 4)?);
-        let height = crate::wire::le_u32(take(&mut pos, 4)?);
-        let channels = crate::wire::le_u32(take(&mut pos, 4)?);
+        let width = r.u32()?;
+        let height = r.u32()?;
+        let channels = r.u32()?;
         let n_lines = (channels as usize)
             .checked_mul(height as usize)
             .ok_or(CodecError::Corrupt("line count overflow"))?;
         if n_lines > 1 << 28 {
             return Err(CodecError::Corrupt("implausible line count"));
         }
-        let mut lines = Vec::with_capacity(n_lines);
-        for _ in 0..n_lines {
-            let mode = LineMode::from_code(take(&mut pos, 1)?[0])?;
-            let offset = crate::wire::le_u32(take(&mut pos, 4)?);
-            let len = crate::wire::le_u32(take(&mut pos, 4)?);
-            lines.push(LineMeta { mode, offset, len });
+        if n_lines.checked_mul(width as usize).is_none() {
+            return Err(CodecError::Corrupt("value count overflow"));
         }
-        let payload_len = crate::wire::le_u64(take(&mut pos, 8)?) as usize;
-        let section = take(&mut pos, payload_len)?;
+        let directory = r.take(n_lines * DIR_ENTRY)?;
+        for entry in directory.chunks_exact(DIR_ENTRY) {
+            LineMode::from_code(entry[0])?;
+        }
+        let section = r.section()?;
         let payload = if version == VERSION_PACKED {
-            sciml_pack::unpack(section).map_err(|e| match e {
-                sciml_pack::PackError::Truncated => CodecError::Truncated,
-                _ => CodecError::Corrupt("packed payload section corrupt"),
-            })?
+            Cow::Owned(unpack_payload(section)?)
         } else {
-            section.to_vec()
+            Cow::Borrowed(section)
         };
-        let mask_len = crate::wire::le_u64(take(&mut pos, 8)?) as usize;
-        let mask = take(&mut pos, mask_len)?.to_vec();
-        for l in &lines {
-            let end = (l.offset as usize)
-                .checked_add(l.len as usize)
-                .ok_or(CodecError::Corrupt("line range overflow"))?;
-            if end > payload.len() {
-                return Err(CodecError::Inconsistent("line payload out of range"));
-            }
-        }
-        Ok(Self {
+        let mask = r.section()?;
+        let view = Self {
             width,
             height,
             channels,
-            lines,
+            directory: Directory::Wire(directory),
             payload,
             mask,
-        })
+        };
+        for idx in 0..n_lines {
+            view.line(idx)?;
+        }
+        Ok(view)
     }
 
-    /// The payload slice of one line.
-    pub(crate) fn line_payload(&self, idx: usize) -> &[u8] {
-        let l = &self.lines[idx];
-        &self.payload[l.offset as usize..(l.offset + l.len) as usize]
+    /// Total number of lines (`channels * height`).
+    pub fn n_lines(&self) -> usize {
+        self.channels as usize * self.height as usize
     }
+
+    /// Total values the decoded sample holds (saturating: a count that
+    /// large can never match an output slice).
+    pub fn n_values(&self) -> usize {
+        self.n_lines().saturating_mul(self.width as usize)
+    }
+
+    /// Directory entry `idx`.
+    fn meta(&self, idx: usize) -> Result<LineMeta, CodecError> {
+        const MISSING: CodecError = CodecError::Inconsistent("line index out of range");
+        match self.directory {
+            Directory::Lines(lines) => lines.get(idx).copied().ok_or(MISSING),
+            Directory::Wire(dir) => {
+                let at = idx.checked_mul(DIR_ENTRY).ok_or(MISSING)?;
+                let entry = dir
+                    .get(at..)
+                    .and_then(|e| e.get(..DIR_ENTRY))
+                    .ok_or(MISSING)?;
+                Ok(LineMeta {
+                    mode: LineMode::from_code(entry[0])?,
+                    offset: crate::wire::le_u32(&entry[1..5]),
+                    len: crate::wire::le_u32(&entry[5..9]),
+                })
+            }
+        }
+    }
+
+    /// Mode and payload bytes of line `idx`; a typed error for an index
+    /// past the directory or a range past the payload.
+    pub fn line(&self, idx: usize) -> Result<(LineMode, &[u8]), CodecError> {
+        let meta = self.meta(idx)?;
+        let start = meta.offset as usize;
+        let bytes = start
+            .checked_add(meta.len as usize)
+            .and_then(|end| self.payload.get(start..end))
+            .ok_or(CodecError::Inconsistent("line payload out of range"))?;
+        Ok((meta.mode, bytes))
+    }
+}
+
+impl<'a> From<&'a EncodedDeepCam> for DeepCamView<'a> {
+    fn from(enc: &'a EncodedDeepCam) -> Self {
+        enc.view()
+    }
+}
+
+impl<'a> From<&'a DeepCamView<'_>> for DeepCamView<'a> {
+    /// Re-borrows a view (never copies the payload).
+    fn from(view: &'a DeepCamView<'_>) -> Self {
+        DeepCamView {
+            width: view.width,
+            height: view.height,
+            channels: view.channels,
+            directory: view.directory,
+            payload: Cow::Borrowed(&view.payload),
+            mask: view.mask,
+        }
+    }
+}
+
+/// Unpacks a version-2 payload section. The one allocating step of a
+/// wire parse, and only for packed blobs.
+fn unpack_payload(section: &[u8]) -> Result<Vec<u8>, CodecError> {
+    sciml_pack::unpack(section).map_err(|e| match e {
+        sciml_pack::PackError::Truncated => CodecError::Truncated,
+        _ => CodecError::Corrupt("packed payload section corrupt"),
+    })
 }
 
 /// Decodes one delta code byte relative to `base_exp`.
@@ -437,6 +556,90 @@ mod tests {
         let mut bad = v2.clone();
         bad[20 + 9 + 8 + 10] ^= 0x40;
         assert!(EncodedDeepCam::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn hostile_section_lengths_are_typed_errors() {
+        // A 52-byte blob: 20-byte header, one 9-byte directory entry, a
+        // 4-byte payload and a 3-byte mask, each section behind its u64
+        // length. Lengths near u64::MAX used to overflow `pos + n`.
+        let e = EncodedDeepCam {
+            width: 1,
+            height: 1,
+            channels: 1,
+            lines: vec![LineMeta {
+                mode: LineMode::Constant,
+                offset: 0,
+                len: 4,
+            }],
+            payload: vec![0; 4],
+            mask: vec![1, 2, 3],
+        };
+        let bytes = e.to_bytes();
+        assert_eq!(bytes.len(), 52);
+        let payload_len_at = 20 + DIR_ENTRY;
+        let mask_len_at = payload_len_at + 8 + 4;
+        for at in [payload_len_at, mask_len_at] {
+            for huge in [u64::MAX, u64::MAX - 7, 1 << 63, u64::MAX - 40] {
+                let mut b = bytes.clone();
+                b[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+                for r in [
+                    EncodedDeepCam::from_bytes(&b).err(),
+                    DeepCamView::parse(&b).err(),
+                ] {
+                    assert!(
+                        matches!(r, Some(CodecError::Truncated | CodecError::Corrupt(_))),
+                        "length {huge:#x} at {at}: {r:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn view_parse_matches_owned_parse() {
+        // A zero-heavy payload, so the packed form really is version 2.
+        let mut payload = vec![0u8; 4 + 4096];
+        payload[7] = 0x40;
+        let e = EncodedDeepCam {
+            width: 1024,
+            height: 2,
+            channels: 1,
+            lines: vec![
+                LineMeta {
+                    mode: LineMode::RawF32,
+                    offset: 4,
+                    len: 4096,
+                },
+                LineMeta {
+                    mode: LineMode::Constant,
+                    offset: 0,
+                    len: 4,
+                },
+            ],
+            payload,
+            mask: vec![5; 8],
+        };
+        let packed = e.to_bytes_packed();
+        assert_eq!(
+            packed[4], 2,
+            "payload this skewed must take the packed path"
+        );
+        for bytes in [e.to_bytes(), packed] {
+            let view = DeepCamView::parse(&bytes).unwrap();
+            assert_eq!(view.n_values(), e.n_values());
+            assert_eq!(view.mask, &e.mask[..]);
+            for idx in 0..2 {
+                let l = e.lines[idx];
+                let want = &e.payload[l.offset as usize..(l.offset + l.len) as usize];
+                assert_eq!(view.line(idx).unwrap(), (l.mode, want));
+                assert_eq!(e.view().line(idx).unwrap(), (l.mode, want));
+            }
+            assert!(matches!(
+                view.line(2),
+                Err(CodecError::Inconsistent("line index out of range"))
+            ));
+        }
     }
 
     #[test]

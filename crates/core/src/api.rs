@@ -315,6 +315,11 @@ mod tests {
         let blobs = b.build(6, EncodedFormat::Custom);
         let plugin = b.plugin(EncodedFormat::Custom, None, Op::Log1p);
         let telemetry = sciml_obs::Telemetry::new();
+        // Reuse by construction, not by timing: with one reader, one
+        // decoder and one-deep queues at most three fetch buffers are
+        // out at once (reader, queue, decoder). The reader's fourth
+        // checkout waits for the queue, which frees only once the
+        // decoder has returned its first buffer, so it must hit.
         let mut p = build_pipeline_observed(
             blobs,
             plugin,
@@ -322,6 +327,9 @@ mod tests {
                 batch_size: 2,
                 epochs: 2,
                 pool_capacity: Some(3),
+                prefetch: 1,
+                reader_threads: 1,
+                decode_threads: 1,
                 ..Default::default()
             },
             telemetry.clone(),

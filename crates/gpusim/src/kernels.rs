@@ -3,7 +3,7 @@
 use crate::warp::{KernelStats, MemSpace, WarpCtx, WARP_SIZE};
 use crate::Gpu;
 use sciml_codec::cosmoflow::EncodedCosmo;
-use sciml_codec::deepcam::{decode_line_into, EncodedDeepCam, LineMode};
+use sciml_codec::deepcam::{decode_line_into, DeepCamView, LineMode};
 use sciml_codec::{CodecError, Op};
 use sciml_data::cosmoflow::N_REDSHIFTS;
 use sciml_half::F16;
@@ -137,40 +137,42 @@ pub fn decode_cosmo_into(
 /// tasks; delta lines serialize the segment walk inside their warp
 /// (the loop-carried dependency), while lanes cooperate on unpacking
 /// and the f16 stores — the paper's hierarchical assignment.
-pub fn decode_deepcam(
+pub fn decode_deepcam<'a>(
     gpu: &Gpu,
-    enc: &EncodedDeepCam,
+    enc: impl Into<DeepCamView<'a>>,
     op: Op,
 ) -> Result<(Vec<F16>, KernelStats, f64), CodecError> {
-    let mut out = vec![F16::ZERO; enc.n_values()];
-    let (stats, time) = decode_deepcam_into(gpu, enc, op, &mut out)?;
+    let view = enc.into();
+    let mut out = vec![F16::ZERO; view.n_values()];
+    let (stats, time) = decode_deepcam_into(gpu, &view, op, &mut out)?;
     Ok((out, stats, time))
 }
 
 /// [`decode_deepcam`] writing into a caller-provided slice, which must
-/// be exactly [`EncodedDeepCam::n_values`] long (same contract as
+/// be exactly [`DeepCamView::n_values`] long (same contract as
 /// [`decode_cosmo_into`]).
-pub fn decode_deepcam_into(
+pub fn decode_deepcam_into<'a>(
     gpu: &Gpu,
-    enc: &EncodedDeepCam,
+    enc: impl Into<DeepCamView<'a>>,
     op: Op,
     out: &mut [F16],
 ) -> Result<(KernelStats, f64), CodecError> {
-    let width = enc.width as usize;
-    if out.len() != enc.n_values() {
+    let view = enc.into();
+    let width = view.width as usize;
+    if out.len() != view.n_values() {
         return Err(CodecError::Inconsistent("output slice length mismatch"));
     }
     let mut stats = KernelStats::default();
 
-    for (idx, dst) in out.chunks_mut(width).enumerate() {
+    for idx in 0..view.n_lines() {
         // Functional part: identical to the CPU decoder by construction.
-        decode_line_into(enc, idx, op, dst)?;
+        decode_line_into(&view, idx, op, &mut out[idx * width..(idx + 1) * width])?;
 
         // Timing part: account the SIMT cost of this line's task.
         let mut ctx = WarpCtx::new();
-        let payload = line_payload(enc, idx);
+        let (mode, payload) = view.line(idx)?;
         let warp_chunks = width.div_ceil(WARP_SIZE) as u64;
-        match enc.lines[idx].mode {
+        match mode {
             LineMode::Constant => {
                 // One broadcast + coalesced stores.
                 ctx.alu(1 + op_cost(op));
@@ -274,11 +276,6 @@ fn op_cost(op: Op) -> u64 {
         Op::Log1p => 8,
         Op::Log1pNormalize { .. } => 10,
     }
-}
-
-fn line_payload(enc: &EncodedDeepCam, idx: usize) -> &[u8] {
-    let l = &enc.lines[idx];
-    &enc.payload[l.offset as usize..(l.offset + l.len) as usize]
 }
 
 fn delta_header(payload: &[u8]) -> (u64, u64) {

@@ -266,27 +266,41 @@ impl DecoderPlugin for DeepCamGzip {
     }
 }
 
-/// CPU plugin: differential codec decoded with one rayon task per line.
+/// CPU plugin: differential codec decoded straight from the fetched
+/// bytes, with one rayon task per group of 8 lines.
 pub struct DeepCamPluginCpu {
     /// Fused operator applied at emission.
     pub op: Op,
 }
 
+impl DeepCamPluginCpu {
+    /// The allocation-free part of [`DecoderPlugin::decode_into`]: parses
+    /// `bytes` in place and decodes the tensor into `out`, returning the
+    /// view so the caller can copy out the mask.
+    fn decode_tensor_into<'a>(
+        &self,
+        bytes: &'a [u8],
+        out: &mut [F16],
+    ) -> Result<dc::DeepCamView<'a>> {
+        let view = dc::DeepCamView::parse(bytes)?;
+        dc::decode_parallel_into(&view, self.op, out)?;
+        Ok(view)
+    }
+}
+
 impl DecoderPlugin for DeepCamPluginCpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let mask = enc.mask.clone();
-        let data = dc::decode_parallel(&enc, self.op)?;
+        let view = dc::DeepCamView::parse(bytes)?;
+        let data = dc::decode_parallel(&view, self.op)?;
         Ok(DecodedSample {
             data,
-            label: Label::Mask(mask),
+            label: Label::Mask(view.mask.to_vec()),
         })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        dc::decode_parallel_into(&enc, self.op, out)?;
-        Ok(Label::Mask(enc.mask))
+        let view = self.decode_tensor_into(bytes, out)?;
+        Ok(Label::Mask(view.mask.to_vec()))
     }
 
     fn name(&self) -> &'static str {
@@ -322,23 +336,22 @@ impl DeepCamPluginGpu {
 
 impl DecoderPlugin for DeepCamPluginGpu {
     fn decode(&self, bytes: &[u8]) -> Result<DecodedSample> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let mask = enc.mask.clone();
-        let (data, _, time) = decode_deepcam(&self.gpu, &enc, self.op)?;
+        let view = dc::DeepCamView::parse(bytes)?;
+        let (data, _, time) = decode_deepcam(&self.gpu, &view, self.op)?;
         self.device_ns
             .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
         Ok(DecodedSample {
             data,
-            label: Label::Mask(mask),
+            label: Label::Mask(view.mask.to_vec()),
         })
     }
 
     fn decode_into(&self, bytes: &[u8], out: &mut [F16]) -> Result<Label> {
-        let enc = dc::EncodedDeepCam::from_bytes(bytes)?;
-        let (_, time) = sciml_gpusim::decode_deepcam_into(&self.gpu, &enc, self.op, out)?;
+        let view = dc::DeepCamView::parse(bytes)?;
+        let (_, time) = sciml_gpusim::decode_deepcam_into(&self.gpu, &view, self.op, out)?;
         self.device_ns
             .fetch_add((time * 1e9) as u64, Ordering::Relaxed);
-        Ok(Label::Mask(enc.mask))
+        Ok(Label::Mask(view.mask.to_vec()))
     }
 
     fn name(&self) -> &'static str {
@@ -423,6 +436,14 @@ mod tests {
         assert_eq!(cpu.data, gpu.data);
         assert_eq!(cpu.label, Label::Mask(s.mask.clone()));
         assert_same_shape(&base, &cpu).unwrap();
+        // The packed wire form decodes to the same sample, in place too.
+        let packed = enc.to_bytes_packed();
+        assert_eq!(DeepCamPluginCpu { op }.decode(&packed).unwrap(), cpu);
+        let mut out = vec![F16::ONE; cpu.data.len()];
+        let label = DeepCamPluginCpu { op }
+            .decode_into(&packed, &mut out)
+            .unwrap();
+        assert_eq!((out, label), (cpu.data, cpu.label));
     }
 
     #[test]

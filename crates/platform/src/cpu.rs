@@ -30,20 +30,20 @@ pub struct KernelPath {
 /// The dispatch plan for every kernel at the currently active tier
 /// (env override and force guards included, clamped to this
 /// architecture — the reported level is the level that will run). The
-/// CRC-32 kernel additionally needs `pclmulqdq` ([`crc32_level`]).
+/// CRC-32 kernel additionally needs `pclmulqdq` ([`crc32_level`]); the
+/// DeepCAM lane kernel exists only at AVX2 and reports `Scalar` (not
+/// run: lines decode one by one) at every other tier.
 pub fn kernel_plan() -> Vec<KernelPath> {
     ALL_KERNELS
         .iter()
         .map(|&kernel| {
-            let level = match kernel {
-                Kernel::Crc32 => crc32_level(),
-                _ => arch_level(),
-            };
+            let level = level_of(kernel);
             KernelPath {
                 kernel,
                 stage: match kernel {
                     Kernel::CosmoGather => "CosmoFlow LUT decode",
                     Kernel::DeepcamLine => "DeepCAM delta decode",
+                    Kernel::DeepcamLanes => "DeepCAM 8-line decode",
                     Kernel::HalfNarrow => "F32\u{2192}F16 emission",
                     Kernel::HalfWiden => "F16\u{2192}F32 load",
                     Kernel::Crc32 => "CRC-32 integrity check",
@@ -55,8 +55,21 @@ pub fn kernel_plan() -> Vec<KernelPath> {
         .collect()
 }
 
+fn level_of(kernel: Kernel) -> SimdLevel {
+    match (kernel, arch_level()) {
+        (Kernel::Crc32, _) => crc32_level(),
+        (Kernel::DeepcamLanes, SimdLevel::Avx2) => SimdLevel::Avx2,
+        (Kernel::DeepcamLanes, _) => SimdLevel::Scalar,
+        (_, level) => level,
+    }
+}
+
 fn strategy(kernel: Kernel, level: SimdLevel) -> &'static str {
     match (kernel, level) {
+        (Kernel::DeepcamLanes, SimdLevel::Avx2) => {
+            "one line per lane: 8x8 transposes + add/blend scan"
+        }
+        (Kernel::DeepcamLanes, _) => "not at this tier: lines decode one by one",
         (Kernel::Crc32, SimdLevel::Scalar | SimdLevel::Neon) => "slicing-by-8 tables",
         (Kernel::Crc32, SimdLevel::Sse42 | SimdLevel::Avx2) => {
             "PCLMULQDQ 4x128-bit fold + Barrett reduction"
@@ -91,6 +104,7 @@ mod tests {
         for p in &plan {
             let want = match p.kernel {
                 Kernel::Crc32 => crc32_level(),
+                Kernel::DeepcamLanes if arch_level() != SimdLevel::Avx2 => SimdLevel::Scalar,
                 _ => arch_level(),
             };
             assert_eq!(p.level, want);
@@ -105,6 +119,7 @@ mod tests {
             assert_eq!(p.level, SimdLevel::Scalar);
             let want = match p.kernel {
                 Kernel::Crc32 => "slicing-by-8 tables",
+                Kernel::DeepcamLanes => "not at this tier: lines decode one by one",
                 _ => "scalar reference loop",
             };
             assert_eq!(p.strategy, want);

@@ -280,6 +280,8 @@ pub enum Kernel {
     CosmoGather,
     /// DeepCAM per-line differential decode (per line).
     DeepcamLine,
+    /// DeepCAM lane kernel: 8 lines reconstructed at once (per group).
+    DeepcamLanes,
     /// Bulk F32→F16 narrowing (per slice call).
     HalfNarrow,
     /// Bulk F16→F32 widening (per slice call).
@@ -289,9 +291,10 @@ pub enum Kernel {
 }
 
 /// All kernel families, in counter-table order.
-pub const ALL_KERNELS: [Kernel; 5] = [
+pub const ALL_KERNELS: [Kernel; 6] = [
     Kernel::CosmoGather,
     Kernel::DeepcamLine,
+    Kernel::DeepcamLanes,
     Kernel::HalfNarrow,
     Kernel::HalfWiden,
     Kernel::Crc32,
@@ -303,6 +306,7 @@ impl Kernel {
         match self {
             Kernel::CosmoGather => "cosmo_gather",
             Kernel::DeepcamLine => "deepcam_line",
+            Kernel::DeepcamLanes => "deepcam_lanes",
             Kernel::HalfNarrow => "half_narrow",
             Kernel::HalfWiden => "half_widen",
             Kernel::Crc32 => "crc32",
@@ -313,9 +317,10 @@ impl Kernel {
         match self {
             Kernel::CosmoGather => 0,
             Kernel::DeepcamLine => 1,
-            Kernel::HalfNarrow => 2,
-            Kernel::HalfWiden => 3,
-            Kernel::Crc32 => 4,
+            Kernel::DeepcamLanes => 2,
+            Kernel::HalfNarrow => 3,
+            Kernel::HalfWiden => 4,
+            Kernel::Crc32 => 5,
         }
     }
 }
@@ -324,7 +329,7 @@ impl Kernel {
 const ZERO: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO_ROW: [AtomicU64; 4] = [ZERO; 4];
-static DISPATCH: [[AtomicU64; 4]; 5] = [ZERO_ROW; 5];
+static DISPATCH: [[AtomicU64; 4]; ALL_KERNELS.len()] = [ZERO_ROW; ALL_KERNELS.len()];
 
 /// Records one dispatch of `kernel` through the `level` path. Relaxed;
 /// a few nanoseconds against kernels that run for microseconds.
